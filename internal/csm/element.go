@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"mcsm/internal/spice"
+	"mcsm/internal/table"
 )
 
 // Cell is a characterized CSM instantiated as a spice.Element: the model's
@@ -41,7 +42,18 @@ type Cell struct {
 	cmNO    auxCap
 	cnIPrev float64 // trapezoidal history of the internal-node capacitor
 
-	coordBuf []float64
+	// Table reads through per-grid shared stencils: the current sources at
+	// the candidate solution (with gradients), the capacitances at the
+	// start-of-step point.
+	cur             gridSet
+	ioT, inT        lookup
+	caps            gridSet
+	cmT, cmNT       []lookup
+	coT, cnT, cmNOT lookup
+
+	coordBuf []float64 // candidate-solution coordinates
+	prevBuf  []float64 // start-of-step coordinates
+	gradBuf  []float64
 	vnInit   float64
 }
 
@@ -103,7 +115,8 @@ func NewCell(name string, m *Model, inputs []spice.Node, out spice.Node, receive
 	if len(inputs) != len(m.Inputs) {
 		return nil, fmt.Errorf("csm: %d input nodes for %d-input model", len(inputs), len(m.Inputs))
 	}
-	return &Cell{
+	rank := m.rank()
+	c := &Cell{
 		name:             name,
 		model:            m,
 		inputs:           append([]spice.Node(nil), inputs...),
@@ -115,8 +128,33 @@ func NewCell(name string, m *Model, inputs []spice.Node, out spice.Node, receive
 		cm:               make([]spice.CapBranch, len(inputs)),
 		cin:              make([]spice.CapBranch, len(inputs)),
 		cmN:              make([]auxCap, len(inputs)),
+		coordBuf:         make([]float64, 0, rank),
+		prevBuf:          make([]float64, 0, rank),
+		gradBuf:          make([]float64, rank),
 		vnInit:           m.Vdd / 2,
-	}, nil
+	}
+	c.bindTables((*gridSet).bind)
+	return c, nil
+}
+
+// bindTables binds the model's tables: the current sources to the cur set,
+// the capacitances to the caps set.
+func (c *Cell) bindTables(bind func(*gridSet, *table.Table) lookup) {
+	m := c.model
+	c.cur, c.caps = gridSet{}, gridSet{}
+	c.ioT, c.inT = bind(&c.cur, m.Io), bind(&c.cur, m.IN)
+	c.cmT = make([]lookup, len(m.Cm))
+	for i, t := range m.Cm {
+		c.cmT[i] = bind(&c.caps, t)
+	}
+	c.coT, c.cnT = bind(&c.caps, m.Co), bind(&c.caps, m.CN)
+	if m.HasInternalMiller() {
+		c.cmNT = make([]lookup, len(m.CmN))
+		for i, t := range m.CmN {
+			c.cmNT[i] = bind(&c.caps, t)
+		}
+		c.cmNOT = bind(&c.caps, m.CmNO)
+	}
 }
 
 // Name returns the element name.
@@ -166,7 +204,7 @@ func (c *Cell) coords(ctx *spice.Context) []float64 {
 
 // coordsPrev assembles coordinates at the last accepted solution.
 func (c *Cell) coordsPrev(ctx *spice.Context) []float64 {
-	buf := make([]float64, 0, c.model.rank())
+	buf := c.prevBuf[:0]
 	for _, n := range c.inputs {
 		buf = append(buf, ctx.Vprev(n))
 	}
@@ -174,24 +212,26 @@ func (c *Cell) coordsPrev(ctx *spice.Context) []float64 {
 		buf = append(buf, ctx.AuxPrev(c.vnAux))
 	}
 	buf = append(buf, ctx.Vprev(c.out))
+	c.prevBuf = buf
 	return buf
 }
 
-// BeginStep freezes the capacitance tables at the start-of-step point.
+// BeginStep freezes the capacitance tables at the start-of-step point,
+// locating once per capacitance grid.
 func (c *Cell) BeginStep(ctx *spice.Context) {
-	coords := c.coordsPrev(ctx)
-	for i := range c.cmVal {
-		c.cmVal[i] = c.model.Cm[i].At(coords...)
+	c.caps.locate(c.coordsPrev(ctx))
+	for i, l := range c.cmT {
+		c.cmVal[i] = l.at()
 	}
-	c.coVal = c.model.Co.At(coords...)
+	c.coVal = c.coT.at()
 	if c.model.Kind == KindMCSM {
-		c.cnVal = c.model.CN.At(coords...)
+		c.cnVal = c.cnT.at()
 	}
 	if c.model.HasInternalMiller() {
-		for i := range c.cmNVal {
-			c.cmNVal[i] = c.model.CmN[i].At(coords...)
+		for i, l := range c.cmNT {
+			c.cmNVal[i] = l.at()
 		}
-		c.cmNOVal = c.model.CmNO.At(coords...)
+		c.cmNOVal = c.cmNOT.at()
 	}
 	if c.withReceiverCaps {
 		for i, n := range c.inputs {
@@ -212,15 +252,18 @@ func (c *Cell) unknownOf(k int) int {
 }
 
 // Stamp adds the linearized current sources and the capacitive branches.
+// The current tables (Io, IN) are located once per grid.
 func (c *Cell) Stamp(sys *spice.System, ctx *spice.Context) {
 	coords := c.coords(ctx)
+	c.cur.locateGrad(coords)
 	outIdx := int(c.out) - 1
 
 	// Output current source: the cell injects Io into the output node, so
 	// the current *leaving* the node into the element is −Io.
-	io, gradIo := c.model.Io.Grad(coords...)
+	grad := c.gradBuf
+	io := c.ioT.grad(grad)
 	lin := 0.0
-	for k, g := range gradIo {
+	for k, g := range grad {
 		sys.AddA(outIdx, c.unknownOf(k), -g)
 		lin += -g * coords[k]
 	}
@@ -230,9 +273,9 @@ func (c *Cell) Stamp(sys *spice.System, ctx *spice.Context) {
 		// Internal node equation (implicit Eq. 5): CN·dVN/dt − IN(V) = 0,
 		// plus a gmin-scale leak mirroring the engine's node treatment.
 		row := c.vnAux
-		iN, gradIN := c.model.IN.Grad(coords...)
+		iN := c.inT.grad(grad)
 		linN := 0.0
-		for k, g := range gradIN {
+		for k, g := range grad {
 			sys.AddA(row, c.unknownOf(k), -g)
 			linN += -g * coords[k]
 		}
@@ -241,7 +284,6 @@ func (c *Cell) Stamp(sys *spice.System, ctx *spice.Context) {
 		sys.AddA(row, row, auxGmin)
 
 		if ctx.Mode == spice.ModeTransient && ctx.Dt > 0 {
-			vn := ctx.Aux(c.vnAux)
 			vnPrev := ctx.AuxPrev(c.vnAux)
 			var geq, hist float64
 			if ctx.Method == spice.Trapezoidal {
@@ -253,7 +295,6 @@ func (c *Cell) Stamp(sys *spice.System, ctx *spice.Context) {
 			}
 			sys.AddA(row, row, geq)
 			sys.AddB(row, hist)
-			_ = vn
 		}
 	}
 

@@ -47,6 +47,11 @@ func SimulateExplicit(m *Model, inputs []wave.Waveform, cl float64, start, stop,
 	vin := make([]float64, len(inputs))
 	vinNext := make([]float64, len(inputs))
 	coords := make([]float64, 0, m.rank())
+	// Every coefficient of a step reads the same coordinates: locate once
+	// per grid.
+	var gs gridSet
+	ioT, coT, inT, cnT, cmnoT := gs.bind(m.Io), gs.bind(m.Co), gs.bind(m.IN), gs.bind(m.CN), gs.bind(m.CmNO)
+	cmT, cmnT := gs.bindAll(m.Cm), gs.bindAll(m.CmN)
 	for t := start; t < stop-dt*1e-9; {
 		tNext := t + dt
 		if tNext > stop {
@@ -58,13 +63,14 @@ func SimulateExplicit(m *Model, inputs []wave.Waveform, cl float64, start, stop,
 			vinNext[i] = inputs[i].At(tNext)
 		}
 		coords = m.Coords(coords, vin, vn, vo)
+		gs.locate(coords)
 
-		io := m.Io.At(coords...)
-		co := m.Co.At(coords...)
+		io := ioT.at()
+		co := coT.at()
 		den := cl + co
 		num := io * h
 		for i := range inputs {
-			cm := m.Cm[i].At(coords...)
+			cm := cmT[i].at()
 			den += cm
 			num += cm * (vinNext[i] - vin[i])
 		}
@@ -77,15 +83,15 @@ func SimulateExplicit(m *Model, inputs []wave.Waveform, cl float64, start, stop,
 			// per step (still explicit in the table lookups):
 			//   (CL+Co+ΣCm+CmNO)·ΔVo − CmNO·ΔVN = ΣCm·ΔVin + Io·Δt
 			//   −CmNO·ΔVo + (CN+ΣCmN+CmNO)·ΔVN = ΣCmN·ΔVin + IN·Δt
-			iN := m.IN.At(coords...)
-			cn := m.CN.At(coords...)
-			cmno := m.CmNO.At(coords...)
+			iN := inT.at()
+			cn := cnT.at()
+			cmno := cmnoT.at()
 			a11 := den + cmno
 			a22 := cn + cmno
 			b1 := num
 			b2 := iN * h
 			for i := range inputs {
-				cmn := m.CmN[i].At(coords...)
+				cmn := cmnT[i].at()
 				a22 += cmn
 				b2 += cmn * (vinNext[i] - vin[i])
 			}
@@ -97,8 +103,8 @@ func SimulateExplicit(m *Model, inputs []wave.Waveform, cl float64, start, stop,
 			vnNext = vn + (b2*a11+b1*cmno)/det
 		case m.Kind == KindMCSM:
 			// The paper's decoupled Eq. 4 / Eq. 5.
-			iN := m.IN.At(coords...)
-			cn := m.CN.At(coords...)
+			iN := inT.at()
+			cn := cnT.at()
 			if cn < capFloor {
 				cn = capFloor
 			}

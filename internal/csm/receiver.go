@@ -72,6 +72,14 @@ func receiverTransientPass(m *Model, h *harness, cfg Config, i int, samples []fl
 	vin := make([]float64, nIn)
 	coords := make([]float64, 0, m.rank())
 	vnAt := make([]float64, len(samples))
+	// The Miller branches subtracted below read the same coordinates:
+	// locate once per grid.
+	var gs gridSet
+	cmT := gs.bind(m.Cm[i])
+	var cmnT lookup
+	if m.HasInternalMiller() {
+		cmnT = gs.bind(m.CmN[i])
+	}
 
 	return forEachCombo(secAxes, -1, func(_ []int, sec []float64) error {
 		k := 0
@@ -117,11 +125,12 @@ func receiverTransientPass(m *Model, h *harness, cfg Config, i int, samples []fl
 				accPin[s] += math.Max(total, 0) // Eq. 3 total pin capacitance
 				vin[i] = v
 				coords = m.Coords(coords, vin, vnAt[s], vo)
+				gs.locate(coords)
 				// Couplings carried as explicit model branches must not be
 				// double-counted in the instantiated-cell residual CIn.
-				branch := m.Cm[i].At(coords...)
+				branch := cmT.at()
 				if m.HasInternalMiller() {
-					branch += m.CmN[i].At(coords...)
+					branch += cmnT.at()
 				}
 				acc[s] += math.Max(total-branch, 0)
 			}

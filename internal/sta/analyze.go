@@ -137,7 +137,7 @@ func EvalStageWithLoad(nl *Netlist, models map[string]*csm.Model, idx int, waves
 	if !ok {
 		return wave.Waveform{}, 0, fmt.Errorf("sta: no model for cell type %q (instance %s)", inst.Type, inst.Name)
 	}
-	inWaves, switching, err := gatherInputs(inst, model, waves, opt.Horizon)
+	inWaves, switching, err := gatherInputs(inst, model, waves)
 	if err != nil {
 		return wave.Waveform{}, 0, err
 	}
@@ -172,7 +172,7 @@ func BuildReport(vdd float64, waves map[string]wave.Waveform, misInstances []str
 // gatherInputs maps instance input nets to the model's input order and
 // counts how many of them actually switch. Pins held by the model must be
 // fed by non-switching nets.
-func gatherInputs(inst Instance, model *csm.Model, waves map[string]wave.Waveform, horizon float64) ([]wave.Waveform, int, error) {
+func gatherInputs(inst Instance, model *csm.Model, waves map[string]wave.Waveform) ([]wave.Waveform, int, error) {
 	spec, err := cells.Get(inst.Type)
 	if err != nil {
 		return nil, 0, fmt.Errorf("sta: instance %s: %w", inst.Name, err)
@@ -210,7 +210,6 @@ func gatherInputs(inst Instance, model *csm.Model, waves map[string]wave.Wavefor
 				inst.Name, pin, model.Kind, lvl)
 		}
 	}
-	_ = horizon
 	return out, switching, nil
 }
 
